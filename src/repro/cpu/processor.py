@@ -25,6 +25,7 @@ from typing import Dict
 from repro.common.params import MachineParams
 from repro.common.types import Mode, RefDomain
 from repro.cpu.tlb import Tlb
+from repro.memsys.cache import EMPTY
 from repro.memsys.system import MemorySystem
 
 # Issue cost of one fetched instruction block (4 instructions at ~1 CPI).
@@ -72,6 +73,35 @@ class Processor:
         # bcopy/PCB/kernel-stack sweeps can be attributed to structures.
         # None unless checking runs with check="deep".
         self.block_probe = None
+        memsys.cpus.append(self)
+        self.bind()
+
+    def bind(self) -> None:
+        """Bind the presence sets this CPU resolves hits against.
+
+        In a direct-mapped cache, membership alone proves a hit and a hit
+        moves no state, so the reference methods below resolve hits
+        inline and call the memory system only on a miss or an ownership
+        upgrade. The first data level is L1 on the detailed tier and L2
+        on the atomic tier, the only data level that tier keeps. An
+        associative level binds an empty set: every reference to it
+        takes the memory system's full path, which keeps exact LRU. The
+        memory system rebinds its processors whenever its tier changes.
+        """
+        m = self.memsys
+        hierarchy = m.hierarchies[self.cpu_id]
+        dfirst = hierarchy.dl2 if m.atomic else hierarchy.dl1
+        self._atomic = m.atomic
+        self._ipresent = (
+            hierarchy.icache._present if hierarchy.icache.assoc == 1 else frozenset()
+        )
+        self._dpresent = dfirst._present if dfirst.assoc == 1 else frozenset()
+        self._owner = m._owner
+        # An atomic-tier miss reports nothing, so ifetch_range fills
+        # proven-absent I-cache blocks in place.
+        self._ifill = (
+            hierarchy.icache.fill if m.atomic and hierarchy.icache.assoc == 1 else None
+        )
 
     # ------------------------------------------------------------------
     # Mode transitions
@@ -112,103 +142,153 @@ class Processor:
     # ------------------------------------------------------------------
     # Reference issue (physical addresses)
     # ------------------------------------------------------------------
+    def _retire(self, refs: int, calls: int, now: int, stalled: int) -> None:
+        """Account a batch of ``refs`` references that moved the clock to
+        ``now``, ``stalled`` cycles of it stalls. ``calls`` of them went
+        through the memory system, which counted its own atomic refs."""
+        self.refs_retired += refs
+        if self._atomic:
+            self.memsys.atomic_refs += refs - calls
+        self.mode_cycles[self.mode] += now - self.cycles
+        self.stall_cycles[self.mode] += stalled
+        self.cycles = now
+
     def ifetch_range(self, base: int, size: int) -> None:
         """Execute straight-line code spanning ``[base, base+size)``."""
         if size <= 0:
             return
-        block_bytes = self._block_bytes
-        first = base // block_bytes
-        last = (base + size - 1) // block_bytes
-        nblocks = last - first + 1
-        self.refs_retired += nblocks
-        if self.memsys.atomic:
-            self.advance(nblocks * IFETCH_ISSUE_CYCLES)
-            self._stall(self.memsys.atomic_ifetch_range(
-                self.cpu_id, first, nblocks, self.domain, self.app_epoch
-            ))
-            return
+        first = base // self._block_bytes
+        last = (base + size - 1) // self._block_bytes
+        cpu, domain, epoch = self.cpu_id, self.domain, self.app_epoch
+        present, ifill = self._ipresent, self._ifill
         fetch = self.memsys.ifetch
+        truth = self.memsys._itruth[cpu]
+        evicted, invalidated = truth.evicted_by, truth.invalidated
+        displaced = (domain, epoch)
+        charge = not self.prefetch_mode
+        now = self.cycles
+        stalled = calls = 0
         for block in range(first, last + 1):
-            self.advance(IFETCH_ISSUE_CYCLES)
-            self._stall(fetch(self.cycles, self.cpu_id, block, self.domain, self.app_epoch))
+            now += IFETCH_ISSUE_CYCLES
+            if block in present:
+                continue
+            if ifill is None:
+                calls += 1
+                stall = fetch(now, cpu, block, domain, epoch)
+            else:
+                # The memory system's atomic I-cache miss, in place.
+                victim = ifill(block)
+                if victim != EMPTY:
+                    evicted[victim] = displaced
+                    invalidated.discard(victim)
+                truth.ever_cached.add(block)
+                evicted.pop(block, None)
+                invalidated.discard(block)
+                stall = self.params.bus_stall_cycles
+            if charge:
+                now += stall
+                stalled += stall
+        self._retire(last - first + 1, calls, now, stalled)
 
     def ifetch_block(self, block: int) -> None:
         """Fetch one instruction block (loop bodies, idle loop)."""
         self.refs_retired += 1
-        self.advance(IFETCH_ISSUE_CYCLES)
-        m = self.memsys
-        if (m.atomic and m._icache_dm
-                and block in m.hierarchies[self.cpu_id].icache._present):
-            # Atomic-tier hit: zero stall, no state movement — skip the
-            # call into the memory system (same shortcut its own atomic
-            # path would take).
-            m.atomic_refs += 1
+        self.cycles += IFETCH_ISSUE_CYCLES
+        self.mode_cycles[self.mode] += IFETCH_ISSUE_CYCLES
+        if block in self._ipresent:
+            if self._atomic:
+                self.memsys.atomic_refs += 1
             return
-        self._stall(
-            m.ifetch(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._stall(self.memsys.ifetch(
+            self.cycles, self.cpu_id, block, self.domain, self.app_epoch
+        ))
+
+    def _touch(self, block: int, write: bool) -> None:
+        """One data reference: a hit in the first data level (owned, for
+        a write) resolves here."""
+        self.refs_retired += 1
+        self.cycles += DTOUCH_ISSUE_CYCLES
+        self.mode_cycles[self.mode] += DTOUCH_ISSUE_CYCLES
+        if block in self._dpresent and (
+            not write or self._owner.get(block) == self.cpu_id
+        ):
+            if self._atomic:
+                self.memsys.atomic_refs += 1
+            return
+        access = self.memsys.dwrite if write else self.memsys.dread
+        self._stall(access(self.cycles, self.cpu_id, block, self.domain, self.app_epoch))
 
     def dread(self, addr: int) -> None:
         """Load from one data address."""
         if self.access_probe is not None:
             self.access_probe(self.cpu_id, addr, False)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        block = addr // self._block_bytes
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present):
-            m.atomic_refs += 1  # atomic-tier hit (see ifetch_block)
-            return
-        self._stall(
-            m.dread(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._touch(addr // self._block_bytes, False)
 
     def dwrite(self, addr: int) -> None:
         """Store to one data address."""
         if self.access_probe is not None:
             self.access_probe(self.cpu_id, addr, True)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        block = addr // self._block_bytes
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present
-                and m._owner.get(block) == self.cpu_id):
-            m.atomic_refs += 1  # atomic-tier owned-hit (see ifetch_block)
-            return
-        self._stall(
-            m.dwrite(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._touch(addr // self._block_bytes, True)
 
     def dread_block(self, block: int) -> None:
         if self.block_probe is not None:
             self.block_probe(self.cpu_id, block, False)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present):
-            m.atomic_refs += 1  # atomic-tier hit (see ifetch_block)
-            return
-        self._stall(
-            m.dread(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._touch(block, False)
 
     def dwrite_block(self, block: int) -> None:
         if self.block_probe is not None:
             self.block_probe(self.cpu_id, block, True)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present
-                and m._owner.get(block) == self.cpu_id):
-            m.atomic_refs += 1  # atomic-tier owned-hit (see ifetch_block)
+        self._touch(block, True)
+
+    def _sweep(self, dst: int, nblocks: int, write: bool, src=None,
+               loop_block: int = 0, refetch_every: int = 0) -> None:
+        """The block-sweep loop: for each of ``nblocks`` blocks, read
+        ``src + i`` (copies only), touch ``dst + i``, and refetch
+        ``loop_block`` every ``refetch_every`` blocks (0: never)."""
+        if nblocks <= 0:
             return
-        self._stall(
-            m.dwrite(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        if self.block_probe is not None:
+            # Deep check: the probe must see every block reference.
+            touch = self.dwrite_block if write else self.dread_block
+            for i in range(nblocks):
+                if src is not None:
+                    self.dread_block(src + i)
+                touch(dst + i)
+                if refetch_every and i % refetch_every == 0:
+                    self.ifetch_block(loop_block)
+            return
+        m = self.memsys
+        cpu, domain, epoch = self.cpu_id, self.domain, self.app_epoch
+        dpresent, ipresent = self._dpresent, self._ipresent
+        owner_get = self._owner.get
+        charge = not self.prefetch_mode
+        sides = ((src, False), (dst, write)) if src is not None else ((dst, write),)
+        now = self.cycles
+        stalled = calls = 0
+        for i in range(nblocks):
+            for base, writing in sides:
+                block = base + i
+                now += DTOUCH_ISSUE_CYCLES
+                if block in dpresent and (not writing or owner_get(block) == cpu):
+                    continue
+                calls += 1
+                access = m.dwrite if writing else m.dread
+                stall = access(now, cpu, block, domain, epoch)
+                if charge:
+                    now += stall
+                    stalled += stall
+            if refetch_every and i % refetch_every == 0:
+                now += IFETCH_ISSUE_CYCLES
+                if loop_block not in ipresent:
+                    calls += 1
+                    stall = m.ifetch(now, cpu, loop_block, domain, epoch)
+                    if charge:
+                        now += stall
+                        stalled += stall
+        refs = nblocks * len(sides)
+        if refetch_every:
+            refs += -(-nblocks // refetch_every)
+        self._retire(refs, calls, now, stalled)
 
     def dtouch_range(self, base: int, size: int, write: bool = False) -> None:
         """Sweep a data range block by block (structure touches, block ops)."""
@@ -217,64 +297,20 @@ class Processor:
         if self.access_probe is not None:
             # Structure sweeps stay within one region; attribute by base.
             self.access_probe(self.cpu_id, base, write)
-        block_bytes = self._block_bytes
-        first = base // block_bytes
-        last = (base + size - 1) // block_bytes
-        if self.memsys.atomic and self.block_probe is None:
-            nblocks = last - first + 1
-            self.refs_retired += nblocks
-            self.advance(nblocks * DTOUCH_ISSUE_CYCLES)
-            self._stall(self.memsys.atomic_dtouch(
-                self.cpu_id, first, nblocks, write, self.domain, self.app_epoch
-            ))
-            return
-        touch = self.dwrite_block if write else self.dread_block
-        for block in range(first, last + 1):
-            touch(block)
+        first = base // self._block_bytes
+        last = (base + size - 1) // self._block_bytes
+        self._sweep(first, last - first + 1, write)
 
     def copy_blocks(self, src_block: int, dst_block: int, nblocks: int,
                     loop_block: int, refetch_every: int) -> None:
         """bcopy's inner loop: read source, write destination, with the
         loop-body refetch every ``refetch_every`` blocks."""
-        if nblocks <= 0:
-            return
-        if self.memsys.atomic and self.block_probe is None:
-            n_if = (nblocks + refetch_every - 1) // refetch_every
-            self.refs_retired += 2 * nblocks + n_if
-            self.advance(
-                2 * nblocks * DTOUCH_ISSUE_CYCLES + n_if * IFETCH_ISSUE_CYCLES
-            )
-            self._stall(self.memsys.atomic_sweep(
-                self.cpu_id, dst_block, nblocks, loop_block, refetch_every,
-                self.domain, self.app_epoch, src_block=src_block,
-            ))
-            return
-        for i in range(nblocks):
-            self.dread_block(src_block + i)
-            self.dwrite_block(dst_block + i)
-            if i % refetch_every == 0:
-                self.ifetch_block(loop_block)
+        self._sweep(dst_block, nblocks, True, src_block, loop_block, refetch_every)
 
     def clear_blocks(self, dst_block: int, nblocks: int,
                      loop_block: int, refetch_every: int) -> None:
         """bclear's inner loop: write destination blocks with refetch."""
-        if nblocks <= 0:
-            return
-        if self.memsys.atomic and self.block_probe is None:
-            n_if = (nblocks + refetch_every - 1) // refetch_every
-            self.refs_retired += nblocks + n_if
-            self.advance(
-                nblocks * DTOUCH_ISSUE_CYCLES + n_if * IFETCH_ISSUE_CYCLES
-            )
-            self._stall(self.memsys.atomic_sweep(
-                self.cpu_id, dst_block, nblocks, loop_block, refetch_every,
-                self.domain, self.app_epoch,
-            ))
-            return
-        for i in range(nblocks):
-            self.dwrite_block(dst_block + i)
-            if i % refetch_every == 0:
-                self.ifetch_block(loop_block)
+        self._sweep(dst_block, nblocks, True, None, loop_block, refetch_every)
 
     def uncached_read(self, addr: int) -> None:
         """Cache-bypassing byte read (escape references)."""

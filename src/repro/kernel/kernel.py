@@ -249,6 +249,13 @@ class Kernel:
         entry = proc.tlb.lookup(process.pid, vpage)
         if entry is not None and not (write and vpage in process.cow_pages):
             return entry.frame
+        return self.translate_fault(proc, process, vpage, write)
+
+    def translate_fault(
+        self, proc: Processor, process: Process, vpage: int, write: bool
+    ) -> Optional[int]:
+        """:meth:`translate` after its TLB lookup missed, or hit a
+        copy-on-write page on a write."""
         frame = self.tlbfaults.frame_for(process, vpage)
         if frame is not None and not (write and vpage in process.cow_pages):
             # Fast refill from the page table: a UTLB fault.

@@ -1,10 +1,11 @@
 """The shared snooping bus.
 
 Every second-level cache miss, coherence upgrade, and uncached access
-becomes a :class:`BusTransaction`. The hardware monitor
-(:mod:`repro.monitor.hwmonitor`) attaches as a listener and records the
-(time, CPU, physical address) triple of each transaction — exactly what
-the paper's monitor stored (Section 2.1).
+becomes a bus transaction. The hardware monitor
+(:mod:`repro.monitor.hwmonitor`) taps the bus and records the (time,
+CPU, physical address) triple of each transaction — exactly what the
+paper's monitor stored (Section 2.1); other listeners receive each one
+as a :class:`BusTransaction`.
 
 Synchronization accesses do *not* travel on this bus: the 4D/340 diverts
 them to a dedicated synchronization bus (modelled in
@@ -53,6 +54,9 @@ class Bus:
 
     def __init__(self) -> None:
         self._listeners: List[Listener] = []
+        # Snoopers attached with tap(): called with the transaction's four
+        # fields, so the monitor's per-transaction path builds no object.
+        self._taps: List[Callable[[int, int, int, BusOp], None]] = []
         self.transaction_count = 0
 
     def attach(self, listener: Listener) -> None:
@@ -62,9 +66,15 @@ class Bus:
     def detach(self, listener: Listener) -> None:
         self._listeners.remove(listener)
 
+    def tap(self, snooper: Callable[[int, int, int, BusOp], None]) -> None:
+        """Attach a snooper called as ``snooper(time_cycles, cpu, addr, op)``."""
+        self._taps.append(snooper)
+
     def transaction(self, time_cycles: int, cpu: int, addr: int, op: BusOp) -> None:
         """Issue one transaction and notify all snoopers."""
         self.transaction_count += 1
+        for snooper in self._taps:
+            snooper(time_cycles, cpu, addr, op)
         if self._listeners:
             txn = BusTransaction(time_cycles, cpu, addr, op)
             for listener in self._listeners:

@@ -68,30 +68,23 @@ class Cache:
         the evicted block number, or ``EMPTY`` (-1) if the set had a free
         way.
         """
-        ways = self._ways[set_index(block, self.num_sets)]
-        if block in self._present:
+        if block not in self._present:
+            return self.fill(block)
+        if self.assoc > 1:
             # Hit: refresh LRU position (skip the list juggling when the
             # block is already MRU, the common case).
+            ways = self._ways[set_index(block, self.num_sets)]
             if ways[0] != block:
                 ways.remove(block)
                 ways.insert(0, block)
-            return None
-        # Miss: fill, evicting LRU if the set is full.
-        victim = EMPTY
-        if len(ways) >= self.assoc:
-            victim = ways.pop()
-            self._present.discard(victim)
-        ways.insert(0, block)
-        self._present.add(block)
-        return victim
+        return None
 
     def fill(self, block: int) -> int:
         """Fill a block the caller has already proven absent.
 
-        The atomic tier's batched paths test ``block in _present``
-        themselves before deciding a reference missed; this skips
-        ``access``'s redundant hit check. Returns the evicted block
-        number or ``EMPTY``.
+        :meth:`access` calls this on a miss; a caller that tests
+        ``block in _present`` itself skips ``access``'s hit check.
+        Returns the evicted block number or ``EMPTY``.
         """
         ways = self._ways[block % self.num_sets]
         if self.assoc == 1:

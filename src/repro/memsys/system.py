@@ -52,6 +52,7 @@ class MemorySystem:
         self.truth = GroundTruth(params.num_cpus, record_events=record_events)
         # block -> owning CPU for exclusively-held (written) blocks.
         self._owner: Dict[int, int] = {}
+        self._displaced = (None, -1)
         # Fidelity tier (repro.fidelity): when ``atomic`` is True the
         # memory system services references *functionally* — cache tags,
         # coherence ownership and ground-truth warmth state keep
@@ -64,22 +65,16 @@ class MemorySystem:
         # costs the bus latency (the ≤15-cycle L1/L2 refinement is the
         # tier's one timing approximation). ``atomic_refs`` counts
         # references served this way (the ``fast_forward`` budget of a
-        # mixed-fidelity run).
-        self.atomic = False
+        # mixed-fidelity run). Setting ``atomic`` rebinds the processors
+        # in ``cpus`` (see Processor.bind).
+        self._atomic = False
+        self.cpus: list = []
         self.atomic_refs = 0
-        # Direct-mapped caches (the default geometry) make a hit a pure
-        # membership test — `access()` cannot reorder a one-way set — so
-        # the atomic paths shortcut it. Associative variants (Figure 6)
-        # fall back to the full access for exact LRU.
-        self._dl2_dm = params.dcache_l2.associativity == 1
-        self._icache_dm = params.icache.associativity == 1
-        # Prebound per-CPU state for the scalar atomic paths (the
-        # batched sweeps rebuild the same bindings per call): truth
-        # handles, and each CPU's snoop targets with their present-sets
-        # so the dwrite invalidation loop can pre-test membership
-        # instead of calling into every other hierarchy. All referenced
-        # containers are mutated in place, never replaced, so the
-        # bindings stay valid for the system's lifetime.
+        # Per-CPU truth handles, and each CPU's snoop targets with their
+        # present-sets, so a write's invalidation loop pre-tests
+        # membership instead of calling into every other hierarchy. All
+        # referenced containers are mutated in place, never replaced, so
+        # the bindings stay valid for the system's lifetime.
         self._itruth = [self.truth.cpu_truth(c, INSTR) for c in range(params.num_cpus)]
         self._dtruth = [self.truth.cpu_truth(c, DATA) for c in range(params.num_cpus)]
         self._snoop = [
@@ -98,95 +93,92 @@ class MemorySystem:
         self.bus_writes = 0
         self.bus_uncached = 0
 
+    @property
+    def atomic(self) -> bool:
+        return self._atomic
+
+    @atomic.setter
+    def atomic(self, value: bool) -> None:
+        self._atomic = value
+        for proc in self.cpus:
+            proc.bind()
+
     # ------------------------------------------------------------------
-    # Instruction fetch
+    # References: the full path
     # ------------------------------------------------------------------
+    # Processors resolve direct-mapped hits themselves and call these on
+    # a miss or an ownership upgrade; any caller may also issue a hit
+    # here. Both tiers fill the caches and update the warmth state the
+    # same way; only the miss report differs. The detailed tier
+    # classifies the miss and puts a transaction on the bus, the atomic
+    # tier only counts the reference.
+
+    def _report_fill(
+        self, time_cycles: int, cpu: int, kind: str, block: int, victim: int,
+        domain: RefDomain, app_epoch: int,
+    ) -> None:
+        if not self._atomic:
+            self.truth.record_miss(time_cycles, cpu, kind, block, domain, app_epoch)
+        truth = (self._itruth if kind == INSTR else self._dtruth)[cpu]
+        if victim != EMPTY:
+            # Consecutive evictions share one displacement record: the
+            # maps hold one per evicted block and pickle with the run.
+            displaced = self._displaced
+            if displaced[1] != app_epoch or displaced[0] is not domain:
+                displaced = self._displaced = (domain, app_epoch)
+            truth.evicted_by[victim] = displaced
+            truth.invalidated.discard(victim)
+            if kind == DATA and self._owner.get(victim) == cpu:
+                # Evicting an owned line writes it back: nobody owns it
+                # any more. (Without this, a later write to the victim by
+                # this CPU would fill the cache with no bus transaction —
+                # a fill the monitor cannot see.)
+                del self._owner[victim]
+        truth.ever_cached.add(block)
+        truth.evicted_by.pop(block, None)
+        truth.invalidated.discard(block)
+
     def ifetch(
         self, time_cycles: int, cpu: int, block: int, domain: RefDomain, app_epoch: int
     ) -> int:
         """Fetch one instruction block; returns stall cycles."""
-        if self.atomic:
+        if self._atomic:
             self.atomic_refs += 1
-            icache = self.hierarchies[cpu].icache
-            if self._icache_dm:
-                if block in icache._present:
-                    return 0
-                victim = icache.fill(block)
-            else:
-                victim = icache.access(block)
-                if victim is None:
-                    return 0
-            truth = self._itruth[cpu]
-            if victim != EMPTY:
-                truth.evicted_by[victim] = (domain, app_epoch)
-                truth.invalidated.discard(victim)
-            truth.ever_cached.add(block)
-            truth.evicted_by.pop(block, None)
-            truth.invalidated.discard(block)
-            return self.params.bus_stall_cycles
-        victim = self.hierarchies[cpu].ifetch(block)
+        victim = self.hierarchies[cpu].icache.access(block)
         if victim is None:
             return 0
-        if victim != EMPTY:
-            self.truth.record_eviction(cpu, INSTR, victim, domain, app_epoch)
-        self.truth.classify_and_record(time_cycles, cpu, INSTR, block, domain, app_epoch)
-        self.bus_reads += 1
-        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
+        self._report_fill(time_cycles, cpu, INSTR, block, victim, domain, app_epoch)
+        if not self._atomic:
+            self.bus_reads += 1
+            self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
         return self.params.bus_stall_cycles
 
-    # ------------------------------------------------------------------
-    # Data access
-    # ------------------------------------------------------------------
     def dread(
         self, time_cycles: int, cpu: int, block: int, domain: RefDomain, app_epoch: int
     ) -> int:
         """Read one data block; returns stall cycles."""
-        if self.atomic:
-            # Functional tier: L2 tags, ownership and warmth state keep
-            # moving and the bus latency is charged on a miss, but there
-            # is no bus transaction, no checker and no counter traffic.
+        if self._atomic:
+            # The atomic tier keeps L2 alone.
             self.atomic_refs += 1
-            dl2 = self.hierarchies[cpu].dl2
-            if self._dl2_dm:
-                if block in dl2._present:
-                    return 0
-                victim = dl2.fill(block)
-            else:
-                victim = dl2.access(block)
-                if victim is None:
-                    return 0
-            owner = self._owner
-            truth = self._dtruth[cpu]
-            if victim != EMPTY:
-                truth.evicted_by[victim] = (domain, app_epoch)
-                truth.invalidated.discard(victim)
-                if owner.get(victim) == cpu:
-                    del owner[victim]
-            truth.ever_cached.add(block)
-            truth.evicted_by.pop(block, None)
-            truth.invalidated.discard(block)
-            own = owner.get(block, SHARED)
-            if own != SHARED and own != cpu:
-                owner.pop(block, None)
-            return self.params.bus_stall_cycles
-        outcome, victim = self.hierarchies[cpu].daccess(block)
-        if outcome is AccessOutcome.L1_HIT:
-            return 0
-        if outcome is AccessOutcome.L2_HIT:
-            return self.params.l2_hit_stall_cycles
-        if victim != EMPTY:
-            self.truth.record_eviction(cpu, DATA, victim, domain, app_epoch)
-            if self._owner.get(victim) == cpu:
-                del self._owner[victim]
-        self.truth.classify_and_record(time_cycles, cpu, DATA, block, domain, app_epoch)
+            victim = self.hierarchies[cpu].dl2.access(block)
+            if victim is None:
+                return 0
+        else:
+            outcome, victim = self.hierarchies[cpu].daccess(block)
+            if outcome is AccessOutcome.L1_HIT:
+                return 0
+            if outcome is AccessOutcome.L2_HIT:
+                return self.params.l2_hit_stall_cycles
+        self._report_fill(time_cycles, cpu, DATA, block, victim, domain, app_epoch)
         # Reading a block exclusively held elsewhere downgrades it to shared.
         owner = self._owner.get(block, SHARED)
         if owner != SHARED and owner != cpu:
             self._owner.pop(block, None)
-        self.bus_reads += 1
-        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
-        if self.checker is not None:
-            self.checker.after_data_read(time_cycles, cpu, block)
+        if not self._atomic:
+            self.bus_reads += 1
+            self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
+            if self.checker is not None:
+                self.checker.after_data_read(time_cycles, cpu, block)
         return self.params.bus_stall_cycles
 
     def dwrite(
@@ -198,262 +190,39 @@ class MemorySystem:
         that invalidates every other CPU's copy — those invalidations are
         what later surface as *Sharing* misses (Table 2).
         """
-        if self.atomic:
-            self.atomic_refs += 1
-            dl2 = self.hierarchies[cpu].dl2
-            owner = self._owner
-            if self._dl2_dm:
-                # Reaching here with the block resident means only the
-                # ownership test failed — resident is NOT proven absent
-                # (unlike the read paths), so fill() needs its own
-                # presence check.
-                if block in dl2._present:
-                    if owner.get(block) == cpu:
-                        return 0
-                    victim = None
-                else:
-                    victim = dl2.fill(block)
-            else:
-                victim = dl2.access(block)
-            stall = 0
-            if victim is not None:
-                truth = self._dtruth[cpu]
-                if victim != EMPTY:
-                    truth.evicted_by[victim] = (domain, app_epoch)
-                    truth.invalidated.discard(victim)
-                    if owner.get(victim) == cpu:
-                        del owner[victim]
-                truth.ever_cached.add(block)
-                truth.evicted_by.pop(block, None)
-                truth.invalidated.discard(block)
-            if owner.get(block, SHARED) != cpu:
-                record_inval = self.truth.record_invalidation
-                for other, o_dl1p, o_dl2p in self._snoop[cpu]:
-                    if (
-                        (block in o_dl2p or block in o_dl1p)
-                        and other.invalidate_data(block)
-                    ):
-                        record_inval(other.cpu, DATA, block)
-                owner[block] = cpu
-                stall += self.params.bus_stall_cycles
-            return stall
-        outcome, victim = self.hierarchies[cpu].daccess(block)
         stall = 0
-        if outcome is AccessOutcome.L2_HIT:
-            stall += self.params.l2_hit_stall_cycles
-        if outcome is AccessOutcome.MISS:
-            if victim != EMPTY:
-                self.truth.record_eviction(cpu, DATA, victim, domain, app_epoch)
-                if self._owner.get(victim) == cpu:
-                    # Evicting an owned line writes it back: nobody owns
-                    # it any more. (Without this, a later write to the
-                    # victim by this CPU would fill the cache with no
-                    # bus transaction — a fill the monitor cannot see.)
-                    del self._owner[victim]
-            self.truth.classify_and_record(
-                time_cycles, cpu, DATA, block, domain, app_epoch
-            )
-        transacted = False
-        icache_before = ()
-        if self._owner.get(block, SHARED) != cpu:
-            if self.checker is not None:
-                icache_before = self.checker.snapshot_icaches(block)
-            # Gain ownership: one bus transaction invalidating other copies.
-            for other in self.hierarchies:
-                if other.cpu != cpu and other.invalidate_data(block):
-                    self.truth.record_invalidation(other.cpu, DATA, block)
-            self._owner[block] = cpu
+        if self._atomic:
+            self.atomic_refs += 1
+            victim = self.hierarchies[cpu].dl2.access(block)
+            missed = victim is not None
+        else:
+            outcome, victim = self.hierarchies[cpu].daccess(block)
+            if outcome is AccessOutcome.L2_HIT:
+                stall += self.params.l2_hit_stall_cycles
+            missed = outcome is AccessOutcome.MISS
+        if missed:
+            self._report_fill(time_cycles, cpu, DATA, block, victim, domain, app_epoch)
+        checker = self.checker
+        if self._owner.get(block, SHARED) == cpu:
+            if missed and checker is not None:
+                checker.after_data_write(time_cycles, cpu, block, True, False, ())
+            return stall
+        icache_before = () if checker is None else checker.snapshot_icaches(block)
+        # Gain ownership: one bus transaction invalidating other copies.
+        for other, o_dl1p, o_dl2p in self._snoop[cpu]:
+            if (block in o_dl2p or block in o_dl1p) and other.invalidate_data(block):
+                self.truth.record_invalidation(other.cpu, DATA, block)
+        self._owner[block] = cpu
+        if not self._atomic:
             self.bus_writes += 1
             self.bus.transaction(
                 time_cycles, cpu, block * self.block_bytes, BusOp.WRITE
             )
-            stall += self.params.bus_stall_cycles
-            transacted = True
-        if self.checker is not None and (
-            transacted or outcome is AccessOutcome.MISS
-        ):
-            self.checker.after_data_write(
-                time_cycles, cpu, block, outcome is AccessOutcome.MISS,
-                transacted, icache_before,
-            )
-        return stall
-
-    # ------------------------------------------------------------------
-    # Atomic-tier batched sweeps
-    # ------------------------------------------------------------------
-    # Block sweeps (bcopy, bclear, structure touches) dominate the
-    # fast-forward's wall clock; these loops evolve exactly the same
-    # state and charge exactly the same latency as issuing the per-block
-    # dread/dwrite/ifetch sequence through the atomic paths above, with
-    # the per-reference call overhead amortized. They reach into Cache
-    # and GroundTruth internals deliberately — this is the one sanctioned
-    # performance seam, kept adjacent to the methods it mirrors.
-
-    def atomic_sweep(
-        self,
-        cpu: int,
-        dst_block: int,
-        nblocks: int,
-        loop_block: int,
-        refetch_every: int,
-        domain: RefDomain,
-        app_epoch: int,
-        src_block: Optional[int] = None,
-    ) -> int:
-        """bcopy/bclear inner loop; returns total stall cycles.
-
-        Writes ``nblocks`` blocks from ``dst_block``, reading the
-        corresponding source block first when ``src_block`` is given,
-        with the loop-body refetch folded in (the loop block is fetched
-        by the preceding ``ifetch_range``, so at most the first refetch
-        can miss; data sweeps cannot evict I-cache lines).
-        """
-        hier = self.hierarchies[cpu]
-        dl2 = hier.dl2
-        dm = self._dl2_dm
-        dl2_access = dl2.fill if dm else dl2.access
-        present = dl2._present
-        truth = self.truth.cpu_truth(cpu, DATA)
-        ever_add = truth.ever_cached.add
-        evicted = truth.evicted_by
-        evicted_pop = evicted.pop
-        inval_discard = truth.invalidated.discard
-        owner = self._owner
-        owner_get = owner.get
-        record_inval = self.truth.record_invalidation
-        others = self._snoop[cpu]
-        bus = self.params.bus_stall_cycles
-        ev = (domain, app_epoch)
-        stall = 0
-        n_if = (nblocks + refetch_every - 1) // refetch_every
-        for i in range(nblocks):
-            if src_block is not None:
-                b = src_block + i
-                if not (dm and b in present):
-                    victim = dl2_access(b)
-                    if victim is not None:
-                        if victim != EMPTY:
-                            evicted[victim] = ev
-                            inval_discard(victim)
-                            if owner_get(victim) == cpu:
-                                del owner[victim]
-                        ever_add(b)
-                        evicted_pop(b, None)
-                        inval_discard(b)
-                        own = owner_get(b)
-                        if own is not None and own != cpu:
-                            del owner[b]
-                        stall += bus
-            b = dst_block + i
-            if not (dm and b in present):
-                victim = dl2_access(b)
-                if victim is not None:
-                    if victim != EMPTY:
-                        evicted[victim] = ev
-                        inval_discard(victim)
-                        if owner_get(victim) == cpu:
-                            del owner[victim]
-                    ever_add(b)
-                    evicted_pop(b, None)
-                    inval_discard(b)
-            if owner_get(b) != cpu:
-                for other, o_dl1p, o_dl2p in others:
-                    if (b in o_dl2p or b in o_dl1p) and other.invalidate_data(b):
-                        record_inval(other.cpu, DATA, b)
-                owner[b] = cpu
-                stall += bus
-        if n_if > 0:
-            stall += self.ifetch(0, cpu, loop_block, domain, app_epoch)
-            self.atomic_refs += n_if - 1
-        reads = nblocks if src_block is not None else 0
-        self.atomic_refs += nblocks + reads
-        return stall
-
-    def atomic_dtouch(
-        self,
-        cpu: int,
-        first_block: int,
-        nblocks: int,
-        write: bool,
-        domain: RefDomain,
-        app_epoch: int,
-    ) -> int:
-        """``dtouch_range``'s loop in one call; returns stall cycles."""
-        hier = self.hierarchies[cpu]
-        dl2 = hier.dl2
-        dm = self._dl2_dm
-        dl2_access = dl2.fill if dm else dl2.access
-        present = dl2._present
-        truth = self.truth.cpu_truth(cpu, DATA)
-        ever_add = truth.ever_cached.add
-        evicted = truth.evicted_by
-        evicted_pop = evicted.pop
-        inval_discard = truth.invalidated.discard
-        owner = self._owner
-        owner_get = owner.get
-        record_inval = self.truth.record_invalidation
-        others = self._snoop[cpu]
-        bus = self.params.bus_stall_cycles
-        ev = (domain, app_epoch)
-        stall = 0
-        for b in range(first_block, first_block + nblocks):
-            if not (dm and b in present):
-                victim = dl2_access(b)
-                if victim is not None:
-                    if victim != EMPTY:
-                        evicted[victim] = ev
-                        inval_discard(victim)
-                        if owner_get(victim) == cpu:
-                            del owner[victim]
-                    ever_add(b)
-                    evicted_pop(b, None)
-                    inval_discard(b)
-                    if not write:
-                        own = owner_get(b)
-                        if own is not None and own != cpu:
-                            del owner[b]
-                        stall += bus
-            if write and owner_get(b) != cpu:
-                for other, o_dl1p, o_dl2p in others:
-                    if (b in o_dl2p or b in o_dl1p) and other.invalidate_data(b):
-                        record_inval(other.cpu, DATA, b)
-                owner[b] = cpu
-                stall += bus
-        self.atomic_refs += nblocks
-        return stall
-
-    def atomic_ifetch_range(
-        self, cpu: int, first_block: int, nblocks: int,
-        domain: RefDomain, app_epoch: int,
-    ) -> int:
-        """``ifetch_range``'s loop in one call; returns stall cycles."""
-        icache = self.hierarchies[cpu].icache
-        dm = self._icache_dm
-        icache_access = icache.fill if dm else icache.access
-        present = icache._present
-        truth = self.truth.cpu_truth(cpu, INSTR)
-        ever_add = truth.ever_cached.add
-        evicted = truth.evicted_by
-        evicted_pop = evicted.pop
-        inval_discard = truth.invalidated.discard
-        ev = (domain, app_epoch)
-        bus = self.params.bus_stall_cycles
-        stall = 0
-        for b in range(first_block, first_block + nblocks):
-            if dm and b in present:
-                continue
-            victim = icache_access(b)
-            if victim is None:
-                continue
-            if victim != EMPTY:
-                evicted[victim] = ev
-                inval_discard(victim)
-            ever_add(b)
-            evicted_pop(b, None)
-            inval_discard(b)
-            stall += bus
-        self.atomic_refs += nblocks
-        return stall
+            if checker is not None:
+                checker.after_data_write(
+                    time_cycles, cpu, block, missed, True, icache_before
+                )
+        return stall + self.params.bus_stall_cycles
 
     # ------------------------------------------------------------------
     # Uncached accesses (escape references)
@@ -467,7 +236,7 @@ class MemorySystem:
         through these (Section 2.2); they cost "as cheaply ... as one or
         more cache misses".
         """
-        if self.atomic:
+        if self._atomic:
             self.atomic_refs += 1
             return self.params.bus_stall_cycles
         self.truth.record_uncached(domain)

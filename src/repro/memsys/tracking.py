@@ -108,9 +108,9 @@ class GroundTruth:
     def cpu_truth(self, cpu: int, kind: str) -> _CpuCacheTruth:
         """Direct handle on one CPU's classification state.
 
-        Used by the atomic tier's batched sweeps (which inline the
-        ``on_fill``/``on_eviction`` updates) and by the mixed-fidelity
-        seam dump that seeds the trace-side reconstruction.
+        Used by the memory system's fill path, the processors' inline
+        atomic-tier I-cache fills and the mixed-fidelity seam dump that
+        seeds the trace-side reconstruction.
         """
         return self._table(kind)[cpu]
 
@@ -126,7 +126,22 @@ class GroundTruth:
         domain: RefDomain,
         app_epoch: int,
     ) -> Tuple[MissClass, bool]:
-        truth = self._table(kind)[cpu]
+        """Classify and count a miss, then record ``block``'s fill."""
+        result = self.record_miss(time_cycles, cpu, kind, block, domain, app_epoch)
+        self._table(kind)[cpu].on_fill(block)
+        return result
+
+    def record_miss(
+        self,
+        time_cycles: int,
+        cpu: int,
+        kind: str,
+        block: int,
+        domain: RefDomain,
+        app_epoch: int,
+    ) -> Tuple[MissClass, bool]:
+        """Classify and count a miss; the caller records the fill."""
+        truth = (self._instr if kind == INSTR else self._data)[cpu]
         miss_class, dispossame = truth.classify(block, app_epoch)
         if miss_class is MissClass.SHARING and kind == INSTR:
             miss_class = MissClass.INVAL
@@ -137,21 +152,10 @@ class GroundTruth:
             self.events.append(
                 MissEvent(time_cycles, cpu, block, kind, domain, miss_class, dispossame)
             )
-        truth.on_fill(block)
         return miss_class, dispossame
 
     def record_uncached(self, domain: RefDomain) -> None:
         self.counts[(domain, DATA, MissClass.UNCACHED)] += 1
-
-    def warm_fill(self, cpu: int, kind: str, block: int) -> None:
-        """State-only fill: the atomic fidelity tier warming a cache.
-
-        Updates the warmth state exactly like :meth:`classify_and_record`
-        but classifies nothing and counts nothing, so fast-forwarded
-        references leave the Table 2 counters untouched while the
-        post-seam detailed window still classifies against true history.
-        """
-        self._table(kind)[cpu].on_fill(block)
 
     def record_eviction(
         self, cpu: int, kind: str, block: int, domain: RefDomain, app_epoch: int

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
-from repro.memsys.bus import Bus, BusOp, BusTransaction
+from repro.memsys.bus import Bus, BusOp
 
 OP_READ = 0
 OP_WRITE = 1
@@ -101,12 +101,12 @@ class HardwareMonitor:
         # at which recording switched from the atomic fast-forward tier
         # to the detailed tier. None for pure detailed/atomic runs.
         self.seam_cycles = None
-        bus.attach(self._snoop)
+        bus.tap(self._snoop)
 
     # ------------------------------------------------------------------
     # Bus listener
     # ------------------------------------------------------------------
-    def _snoop(self, txn: BusTransaction) -> None:
+    def _snoop(self, time_cycles: int, cpu: int, addr: int, op: BusOp) -> None:
         if not self.recording:
             return
         buffer = self._segment.entries
@@ -116,9 +116,9 @@ class HardwareMonitor:
                     f"trace buffer overflowed at {self.capacity} entries"
                 )
             self.dropped += 1
-        tick = int(txn.time_cycles / self._cycles_per_tick)
-        buffer.append((tick, txn.cpu, txn.addr, _OP_CODE[txn.op]))
-        self._segment.end_cycles = txn.time_cycles
+        tick = int(time_cycles / self._cycles_per_tick)
+        buffer.append((tick, cpu, addr, _OP_CODE[op]))
+        self._segment.end_cycles = time_cycles
 
     # ------------------------------------------------------------------
     # Control (exercised by the master process)

@@ -240,21 +240,21 @@ class UserEngine:
         bpp = self._blocks_per_page
         consumed = 0
         cursor = process.sweep_cursor
-        advance = proc.advance
-        # Atomic-tier hit fast path: a resident (and, for writes, owned)
-        # block costs zero stall, so the whole processor/memsys call
-        # chain collapses to the bookkeeping below. Hoisted per slice —
-        # the seam can only flip `memsys.atomic` between slices. Only
-        # direct-mapped geometries prove residency by membership, and a
-        # deep-check probe must see every block reference.
-        memsys = proc.memsys
-        atomic = memsys.atomic and proc.block_probe is None
-        if atomic:
-            hier = memsys.hierarchies[proc.cpu_id]
-            ipresent = hier.icache._present if memsys._icache_dm else ()
-            dpresent = hier.dl2._present if memsys._dl2_dm else ()
-            owner_get = memsys._owner.get
-            cpu_id = proc.cpu_id
+        # TLB and cache hits resolve inline against the processor's bound
+        # presence sets (see Processor.bind); their clock, reference and
+        # TLB counts are applied before anything else runs on this CPU.
+        # A deep-check probe must see every block reference, so it sends
+        # them all through the processor.
+        tlb = proc.tlb
+        tlb_get = tlb._map.get
+        pid = process.pid
+        cpu_id = proc.cpu_id
+        owner_get = proc._owner.get
+        probed = proc.block_probe is not None
+        ipresent = () if probed else proc._ipresent
+        dpresent = () if probed else proc._dpresent
+        pending = hits = lookups = 0
+        blocked = False
         for _ in range(n_touches):
             if rng.random() < cfg.jump_probability:
                 cursor = rng.randrange(len(hot))
@@ -262,42 +262,48 @@ class UserEngine:
             cursor = (cursor + 1) % len(hot)
             is_text = vpage < DATA_VBASE
             write = (not is_text) and rng.random() < action.write_fraction
-            frame = k.translate(proc, process, vpage, write)
-            if frame is None:
-                process.sweep_cursor = cursor
-                return consumed, True
+            lookups += 1
+            entry = tlb_get((pid, vpage))
+            if entry is not None and not (write and vpage in process.cow_pages):
+                frame = entry.frame
+            else:
+                if entry is None:
+                    tlb.misses += 1
+                proc.advance(pending)
+                pending = 0
+                frame = k.translate_fault(proc, process, vpage, write)
+                if frame is None:
+                    blocked = True
+                    break
             pblock = frame * bpp + block
-            if atomic:
-                if is_text:
-                    if pblock in ipresent:
-                        memsys.atomic_refs += 1
-                        proc.refs_retired += 1
-                        advance(_IFETCH_ISSUE + gap)
-                        consumed += gap + _IFETCH_ISSUE
-                        continue
-                    proc.ifetch_block(pblock)
-                elif pblock in dpresent and (
-                    not write or owner_get(pblock) == cpu_id
-                ):
-                    memsys.atomic_refs += 1
-                    proc.refs_retired += 1
-                    advance(_DTOUCH_ISSUE + gap)
+            if is_text:
+                if pblock in ipresent:
+                    hits += 1
+                    pending += _IFETCH_ISSUE + gap
                     consumed += gap + _IFETCH_ISSUE
                     continue
-                elif write:
+                proc.advance(pending)
+                proc.ifetch_block(pblock)
+            elif pblock in dpresent and (not write or owner_get(pblock) == cpu_id):
+                hits += 1
+                pending += _DTOUCH_ISSUE + gap
+                consumed += gap + _IFETCH_ISSUE
+                continue
+            else:
+                proc.advance(pending)
+                if write:
                     proc.dwrite_block(pblock)
                 else:
                     proc.dread_block(pblock)
-            elif is_text:
-                proc.ifetch_block(pblock)
-            elif write:
-                proc.dwrite_block(pblock)
-            else:
-                proc.dread_block(pblock)
-            advance(gap)
+            pending = gap
             consumed += gap + _IFETCH_ISSUE
+        proc.advance(pending)
+        proc.refs_retired += hits
+        if proc._atomic:
+            proc.memsys.atomic_refs += hits
+        tlb.lookups += lookups
         process.sweep_cursor = cursor
-        return consumed, False
+        return consumed, blocked
 
     # ------------------------------------------------------------------
     # User locks and yields
