@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import MissClass, RefDomain
 from repro.kernel.blockops import KIND_NAMES
 from repro.kernel.kernel import CODE_OP
@@ -45,6 +46,7 @@ from repro.monitor.escapes import (
 )
 from repro.monitor.hwmonitor import OP_UNCACHED, OP_WRITE, Trace
 from repro.analysis.reconstruct import CpuReconstruction
+from repro.analysis.sweeps import FLUSH_CPU, IMissStream
 
 _KTEXT_END = KTEXT_BASE + KTEXT_SIZE
 _INSTR = "I"
@@ -129,9 +131,9 @@ class TraceAnalysis:
     utlb_misses: int = 0
     # The OS-induced application misses (Figure 10).
     ap_dispos: Counter = field(default_factory=Counter)  # kind -> count
-    # I-miss stream for the Figure 6 re-simulation:
+    # I-miss stream for the Figure 6 re-simulation, as columns:
     # (cpu, block, domain_is_os, in_window); cpu == -1 marks a full flush.
-    imiss_stream: List[Tuple[int, int, bool, bool]] = field(default_factory=list)
+    imiss_stream: IMissStream = field(default_factory=IMissStream)
 
     # ------------------------------------------------------------------
     # Convenience queries
@@ -253,10 +255,12 @@ class TraceAnalyzer:
         keep_imiss_stream: bool = True,
         state_only: bool = False,
         stats_from_tick: int = 0,
+        cycles_per_tick: float = DEFAULT_PARAMS.cycles_per_tick,
     ):
         self.layout = layout if layout is not None else KernelLayout()
         self.datamap = datamap if datamap is not None else KernelDataMap()
         self.block_bytes = block_bytes
+        self.cycles_per_tick = cycles_per_tick
         # ``state_only`` analyzers are the sharded scout pass: they drive
         # the reconstruction and escape decoding (everything a checkpoint
         # must capture) but skip every windowed statistic, including the
@@ -278,20 +282,24 @@ class TraceAnalyzer:
     def analyze(self, trace: Trace, stats_from_tick: int = 0) -> TraceAnalysis:
         self._window_start = stats_from_tick
         for segment in trace.segments:
-            self.feed(segment.entries)
-            self._end_tick = max(self._end_tick, segment.end_cycles // 2)
+            self.feed(zip(*segment.columns()))
+            self._end_tick = max(
+                self._end_tick, int(segment.end_cycles / self.cycles_per_tick)
+            )
         return self.finish(self._end_tick)
 
     # ------------------------------------------------------------------
     # Incremental driving (the sharded core's entry points)
     # ------------------------------------------------------------------
     def feed(self, entries) -> None:
-        """Process a run of trace entries without finalizing."""
-        for entry in entries:
-            if entry[3] == OP_UNCACHED:
-                self._escape(entry)
+        """Process ``(tick, cpu, addr, op)`` rows without finalizing."""
+        escape = self._escape
+        reference = self._reference
+        for tick, cpu, addr, op in entries:
+            if op == OP_UNCACHED:
+                escape(tick, cpu, addr)
             else:
-                self._reference(entry)
+                reference(tick, cpu, addr, op)
 
     def finish(self, end_tick: int) -> TraceAnalysis:
         """Flush trailing time and close the analysis at ``end_tick``."""
@@ -375,8 +383,7 @@ class TraceAnalyzer:
     # ------------------------------------------------------------------
     # Escape events
     # ------------------------------------------------------------------
-    def _escape(self, entry) -> None:
-        tick, cpu, addr, _op = entry
+    def _escape(self, tick: int, cpu: int, addr: int) -> None:
         self.result.monitor_uncached += 1
         if self.stats and tick >= self._window_start:
             self.result.escape_reads += 1
@@ -471,7 +478,7 @@ class TraceAnalyzer:
             for recon in self._recons:
                 recon.icache.invalidate_all()
             if self.keep_imiss_stream:
-                result.imiss_stream.append((-1, 0, False, False))
+                result.imiss_stream.append(FLUSH_CPU, 0, False, False)
         elif event is EventType.BLOCKOP_BEGIN:
             kind_code, _first, count = payloads
             kind = KIND_NAMES.get(kind_code, "?")
@@ -504,8 +511,7 @@ class TraceAnalyzer:
     # ------------------------------------------------------------------
     # Cacheable references (the miss stream)
     # ------------------------------------------------------------------
-    def _reference(self, entry) -> None:
-        tick, cpu, addr, op = entry
+    def _reference(self, tick: int, cpu: int, addr: int, op: int) -> None:
         cpu_state = self._cpus[cpu]
         recon = self._recons[cpu]
         result = self.result
@@ -541,7 +547,7 @@ class TraceAnalyzer:
         kind = _INSTR if is_instr else _DATA
         if is_instr and self.keep_imiss_stream:
             result.imiss_stream.append(
-                (cpu, block, domain is RefDomain.OS, in_window)
+                cpu, block, domain is RefDomain.OS, in_window
             )
         # Per-invocation counters (window filtering happens at close).
         if domain is RefDomain.OS:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis.decode import TraceAnalysis
-
-CYCLES_PER_TICK = 2
+from repro.common.params import DEFAULT_PARAMS
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -71,14 +70,17 @@ class OsActivityModel:
     # ------------------------------------------------------------------
     @classmethod
     def from_analysis(
-        cls, analysis: TraceAnalysis, bus_stall_cycles: int = 35
+        cls,
+        analysis: TraceAnalysis,
+        bus_stall_cycles: int = 35,
+        cycles_per_tick: float = DEFAULT_PARAMS.cycles_per_tick,
     ) -> "OsActivityModel":
         invocations = analysis.invocations
         intervals = analysis.app_intervals
         if not invocations or not intervals:
             raise ValueError("analysis holds no invocation structure to fit")
-        os_cycles = [inv.duration_ticks * CYCLES_PER_TICK for inv in invocations]
-        app_cycles = [iv.duration_ticks * CYCLES_PER_TICK for iv in intervals]
+        os_cycles = [inv.duration_ticks * cycles_per_tick for inv in invocations]
+        app_cycles = [iv.duration_ticks * cycles_per_tick for iv in intervals]
         os_phase = PhaseModel(
             mean_cycles=_mean(os_cycles),
             cv_cycles=_cv(os_cycles),

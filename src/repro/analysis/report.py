@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import MissClass, RefDomain
 from repro.analysis.decode import TraceAnalysis, TraceAnalyzer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim._session import TracedRun
-
-# Monitor ticks are 60 ns = 2 processor cycles.
-CYCLES_PER_TICK = 2
 
 
 @dataclass
@@ -32,6 +30,9 @@ class AnalysisReport:
 
     analysis: TraceAnalysis
     bus_stall_cycles: int = 35
+    # Processor cycles per monitor tick, to turn the analysis's tick
+    # counts into the cycles the stall model charges.
+    cycles_per_tick: float = DEFAULT_PARAMS.cycles_per_tick
     # Sanitizer event counters (CheckReport.counters) for checked runs;
     # None when the run was built without check=True.
     check_counters: Optional[Dict[str, int]] = field(default=None)
@@ -73,7 +74,7 @@ class AnalysisReport:
     # Stall fractions (Table 1 columns 6-8)
     # ------------------------------------------------------------------
     def _stall_pct(self, misses: int) -> float:
-        non_idle_cycles = self.analysis.non_idle_ticks() * CYCLES_PER_TICK
+        non_idle_cycles = self.analysis.non_idle_ticks() * self.cycles_per_tick
         if not non_idle_cycles:
             return 0.0
         return 100.0 * misses * self.bus_stall_cycles / non_idle_cycles
@@ -204,17 +205,20 @@ def analyze_trace(
             datamap=run.kernel.datamap,
             block_bytes=params.block_bytes,
             keep_imiss_stream=keep_imiss_stream,
+            cycles_per_tick=params.cycles_per_tick,
         )
         # Mixed-fidelity runs: seed the reconstruction with the
         # simulator's warm-state dump from the atomic→detailed seam.
         analyzer.seed_seam(getattr(run, "seam_state", None))
         analysis = analyzer.analyze(
-            run.trace, stats_from_tick=run.measure_from_cycles // CYCLES_PER_TICK
+            run.trace,
+            stats_from_tick=params.cycles_to_ticks(run.measure_from_cycles),
         )
     check_report = getattr(run, "check_report", None)
     counters = dict(check_report.counters) if check_report else None
     return AnalysisReport(
         analysis,
         bus_stall_cycles=params.bus_stall_cycles,
+        cycles_per_tick=params.cycles_per_tick,
         check_counters=counters,
     )

@@ -16,8 +16,9 @@ although only OS misses are plotted in the figure."
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.common.params import CacheGeometry
 from repro.memsys.cache import Cache
@@ -27,6 +28,58 @@ from repro.memsys.cache import Cache
 StreamEntry = Tuple[int, int, bool, bool]
 
 FLUSH_CPU = -1
+
+
+class IMissStream:
+    """The I-miss stream as typed columns, one row per instruction miss.
+
+    ``cpus`` (``b``; :data:`FLUSH_CPU` marks a full I-cache flush),
+    ``blocks`` (``I``), ``is_os`` and ``in_window`` (``B``, 0 or 1).
+    Iterating yields the rows as :data:`StreamEntry` int tuples; the
+    constructor takes such rows, so a hand-written list replays the same.
+    """
+
+    __slots__ = ("cpus", "blocks", "is_os", "in_window")
+
+    def __init__(self, rows: Iterable[StreamEntry] = ()) -> None:
+        self.cpus = array("b")
+        self.blocks = array("I")
+        self.is_os = array("B")
+        self.in_window = array("B")
+        for row in rows:
+            self.append(*row)
+
+    def columns(self) -> Tuple[array, array, array, array]:
+        return (self.cpus, self.blocks, self.is_os, self.in_window)
+
+    def append(self, cpu: int, block: int, is_os: bool, in_window: bool) -> None:
+        self.cpus.append(cpu)
+        self.blocks.append(block)
+        self.is_os.append(is_os)
+        self.in_window.append(in_window)
+
+    def extend(self, other: "IMissStream") -> None:
+        for mine, theirs in zip(self.columns(), other.columns()):
+            mine.extend(theirs)
+
+    def __len__(self) -> int:
+        return len(self.cpus)
+
+    def __iter__(self) -> Iterator[StreamEntry]:
+        return zip(*self.columns())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IMissStream):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __repr__(self) -> str:
+        return f"IMissStream({len(self)} rows)"
+
+
+def as_imiss_stream(stream: Iterable[StreamEntry]) -> IMissStream:
+    """``stream`` itself if it is already columns, else its rows packed."""
+    return stream if isinstance(stream, IMissStream) else IMissStream(stream)
 
 
 @dataclass(frozen=True)
@@ -45,7 +98,7 @@ class SweepPoint:
 
 
 def simulate_icache_config(
-    stream: Sequence[StreamEntry],
+    stream: Iterable[StreamEntry],
     num_cpus: int,
     size_bytes: int,
     associativity: int = 1,
@@ -58,7 +111,7 @@ def simulate_icache_config(
     os_misses = 0
     os_inval = 0
     app_misses = 0
-    for cpu, block, is_os, in_window in stream:
+    for cpu, block, is_os, in_window in zip(*as_imiss_stream(stream).columns()):
         if cpu == FLUSH_CPU:
             for i, cache in enumerate(caches):
                 invalidated[i].update(cache.invalidate_all())
@@ -102,7 +155,7 @@ def sweep_configs(
 
 
 def simulate_icache_sweep(
-    stream: Sequence[StreamEntry],
+    stream: Iterable[StreamEntry],
     num_cpus: int,
     sizes: Iterable[int] = (64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024,
                             1024 * 1024),
@@ -110,6 +163,7 @@ def simulate_icache_sweep(
     block_bytes: int = 16,
 ) -> List[SweepPoint]:
     """The Figure 6 grid (see :func:`sweep_configs` for the skip rule)."""
+    stream = as_imiss_stream(stream)
     return [
         simulate_icache_config(stream, num_cpus, size, assoc, block_bytes)
         for size, assoc in sweep_configs(sizes, associativities)

@@ -96,6 +96,15 @@ class MachineParams:
     def num_pages(self) -> int:
         return self.memory_bytes // self.page_bytes
 
+    @property
+    def cycles_per_tick(self) -> float:
+        """Processor cycles per hardware-monitor tick (2 on the 4D/340)."""
+        return self.monitor_tick_ns / self.cycle_ns
+
+    def cycles_to_ticks(self, cycles: int) -> int:
+        """The monitor tick a cycle count falls in (how entries are stamped)."""
+        return int(cycles / self.cycles_per_tick)
+
     def cycles_per_ms(self) -> float:
         return 1e6 / self.cycle_ns
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import MissClass, RefDomain
 from repro.analysis.decode import TraceAnalysis
 from repro.kernel.structures import StructName
@@ -87,7 +88,10 @@ def dmiss_class_shares_pct(analysis: TraceAnalysis) -> Dict[MissClass, float]:
     return out
 
 
-def invocation_interval_ms(analysis: TraceAnalysis) -> float:
+def invocation_interval_ms(
+    analysis: TraceAnalysis,
+    cycles_per_tick: float = DEFAULT_PARAMS.cycles_per_tick,
+) -> float:
     """Mean time between OS invocations (Figure 1), machine-wide per CPU.
 
     The paper's interval is per CPU: total traced CPU-time divided by the
@@ -96,7 +100,7 @@ def invocation_interval_ms(analysis: TraceAnalysis) -> float:
     if not analysis.invocations:
         return float("inf")
     cpu_ticks = analysis.measured_ticks * analysis.num_cpus
-    cycles = cpu_ticks * 2
+    cycles = cpu_ticks * cycles_per_tick
     return cycles / len(analysis.invocations) / (1e6 / 30.0)
 
 

@@ -33,7 +33,8 @@ def build(ctx: ExperimentContext) -> Exhibit:
         else:
             exhibit.add_row(workload, "paper", paper_interval, "-", "-", "-",
                             paperdata.FIGURE1["utlb_misses_per_fault"])
-        analysis = ctx.report(workload).analysis
+        report = ctx.report(workload)
+        analysis = report.analysis
         imiss, dmiss = mean_invocation_misses(analysis)
         utlb_per_interval = (
             sum(i.utlb_faults for i in analysis.app_intervals)
@@ -46,7 +47,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
         )
         exhibit.add_row(
             workload, "measured",
-            invocation_interval_ms(analysis),
+            invocation_interval_ms(analysis, report.cycles_per_tick),
             imiss, dmiss, utlb_per_interval, utlb_miss_rate,
         )
     exhibit.note(

@@ -45,11 +45,13 @@ def histogram(values: Sequence[float], buckets: Sequence[float] = _MISS_BUCKETS)
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    analysis = ctx.report("pmake").analysis
-    invocations = analysis.invocations
+    report = ctx.report("pmake")
+    invocations = report.analysis.invocations
     imisses = [float(inv.imisses) for inv in invocations]
     dmisses = [float(inv.dmisses) for inv in invocations]
-    cycles = [float(inv.duration_ticks * 2) for inv in invocations]
+    cycles = [
+        float(inv.duration_ticks * report.cycles_per_tick) for inv in invocations
+    ]
     exhibit.add_row("I-misses/invocation", *_percentiles(imisses))
     exhibit.add_row("D-misses/invocation", *_percentiles(dmisses))
     exhibit.add_row("cycles/invocation", *_percentiles(cycles))

@@ -24,18 +24,20 @@ def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
     icache_blocks = 64 * 1024 // 16
     for workload in paperdata.WORKLOADS:
-        analysis = ctx.report(workload).analysis
+        report = ctx.report(workload)
+        analysis = report.analysis
+        cycles_per_tick = report.cycles_per_tick
         invocations = analysis.invocations
         intervals = analysis.app_intervals
         rows = (
             ("OS I-miss/inv", [float(i.imisses) for i in invocations]),
             ("OS D-miss/inv", [float(i.dmisses) for i in invocations]),
             ("OS cycles/inv",
-             [float(i.duration_ticks * 2) for i in invocations]),
+             [float(i.duration_ticks * cycles_per_tick) for i in invocations]),
             ("app I-miss/interval", [float(i.imisses) for i in intervals]),
             ("app D-miss/interval", [float(i.dmisses) for i in intervals]),
             ("app cycles/interval",
-             [float(i.duration_ticks * 2) for i in intervals]),
+             [float(i.duration_ticks * cycles_per_tick) for i in intervals]),
         )
         for label, values in rows:
             exhibit.add_row(workload, label, *_percentiles(values))

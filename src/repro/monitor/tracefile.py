@@ -4,6 +4,11 @@ The real master process shipped each buffer segment to a remote disk for
 offline postprocessing (Section 2.1). This module is that disk format: a
 compact NumPy container holding every segment's entries, so traces can
 be captured once and analyzed many times (or elsewhere).
+
+Format version 1 stores each segment as an ``N×4`` int64 array with one
+``(tick, cpu, addr, op)`` row per entry, plus its ``[start, end]`` cycle
+span. Saving and loading move whole columns between that array and the
+segment's typed columns.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "num_segments": np.array([len(trace.segments)], dtype=np.int64),
     }
     for index, segment in enumerate(trace.segments):
-        entries = np.asarray(segment.entries, dtype=np.int64)
-        if entries.size == 0:
-            entries = entries.reshape(0, 4)
-        arrays[f"segment_{index}_entries"] = entries
+        arrays[f"segment_{index}_entries"] = np.stack(
+            [np.asarray(column, dtype=np.int64) for column in segment.columns()],
+            axis=1,
+        )
         arrays[f"segment_{index}_span"] = np.array(
             [segment.start_cycles, segment.end_cycles], dtype=np.int64
         )
@@ -45,7 +50,21 @@ def load_trace(path: Union[str, Path]) -> Trace:
         for index in range(int(data["num_segments"][0])):
             start, end = (int(v) for v in data[f"segment_{index}_span"])
             segment = TraceSegment(start_cycles=start, end_cycles=end)
-            entries = data[f"segment_{index}_entries"]
-            segment.entries = [tuple(int(v) for v in row) for row in entries]
+            rows = data[f"segment_{index}_entries"]
+            if rows.size == 0:
+                rows = rows.reshape(0, 4)
+            if rows.ndim != 2 or rows.shape[1] != 4:
+                raise ValueError(
+                    f"segment {index}: entries have shape {rows.shape}, "
+                    f"expected (N, 4)"
+                )
+            for column, values in zip(segment.columns(), rows.T):
+                narrow = values.astype(column.typecode)
+                if not np.array_equal(narrow, values):
+                    raise ValueError(
+                        f"segment {index}: a value does not fit the "
+                        f"{column.typecode!r} trace column"
+                    )
+                column.frombytes(narrow.tobytes())
             trace.segments.append(segment)
         return trace

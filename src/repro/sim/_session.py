@@ -206,8 +206,7 @@ class Simulation:
         self.monitor = HardwareMonitor(
             self.memsys.bus,
             capacity=self.params.trace_buffer_entries,
-            cycle_ns=self.params.cycle_ns,
-            tick_ns=self.params.monitor_tick_ns,
+            cycles_per_tick=self.params.cycles_per_tick,
             strict_capacity=monitor_strict,
         )
         self.master = MasterTracer(

@@ -39,6 +39,7 @@ Safety properties:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -212,8 +213,16 @@ class RunCache:
         return payload
 
     def _read(self, key: str) -> Optional[Dict[str, Any]]:
-        """Uncounted read (shared by :meth:`load` and the claim waiter)."""
+        """Uncounted read (shared by :meth:`load` and the claim waiter).
+
+        The cyclic GC is paused while the entry unpickles: a load only
+        allocates, and otherwise the collector walks the growing object
+        graph over and over. The caller's GC state is restored on every
+        exit path.
+        """
         path = self._path(key)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
@@ -227,6 +236,9 @@ class RunCache:
             except OSError:
                 pass
             return None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return payload
 
     def store(self, key: str, payload: Dict[str, Any]) -> bool:

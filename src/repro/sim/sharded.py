@@ -50,8 +50,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +64,15 @@ from repro.analysis.decode import (
 )
 from repro.analysis.sweeps import (
     FLUSH_CPU,
+    IMissStream,
     StreamEntry,
     SweepPoint,
+    as_imiss_stream,
     simulate_icache_config,
     sweep_configs,
 )
 from repro.memsys.cache import set_index
+from repro.monitor.hwmonitor import TRACE_COLUMNS
 from repro.sanitizers.seams import SeamRecord, verify_seams
 
 _ENV_SHARDS = "REPRO_SHARDS"
@@ -188,13 +192,15 @@ class _ChunkConfig:
 
 
 _chunk_config: Optional[_ChunkConfig] = None
-_chunk_entries: Optional[list] = None
+_chunk_entries: Optional[Tuple[array, ...]] = None
 
 
-def _init_chunk_worker(config: _ChunkConfig, entries: Optional[list] = None) -> None:
+def _init_chunk_worker(
+    config: _ChunkConfig, entries: Optional[Tuple[array, ...]] = None
+) -> None:
     """Install the per-worker config (and, under non-fork start methods,
-    the flattened entry list — fork children inherit it copy-on-write
-    from the parent for free, so it ships as None there)."""
+    the whole trace's columns — fork children inherit them copy-on-write
+    from the parent for free, so they ship as None there)."""
     global _chunk_config, _chunk_entries
     _chunk_config = config
     if entries is not None:
@@ -205,7 +211,7 @@ def _analyze_chunk(job) -> Tuple[int, TraceAnalysis, int, float]:
     """One chunk: restore the checkpoint, feed the entries, return stats.
 
     ``job`` is ``(index, start, end, state|None, is_last)`` — entry
-    *indices*, not entries; the worker slices the inherited stream so
+    *indices*, not entries; the worker slices the inherited columns so
     jobs stay tiny on the pickle path. Only the last chunk finalizes
     (trailing time flush + measured window length).
     """
@@ -213,7 +219,6 @@ def _analyze_chunk(job) -> Tuple[int, TraceAnalysis, int, float]:
     config = _chunk_config
     assert config is not None, "worker used without initializer"
     assert _chunk_entries is not None, "worker has no entry stream"
-    entries = _chunk_entries[start:end]
     started = time.perf_counter()
     analyzer = TraceAnalyzer(
         config.workload,
@@ -232,10 +237,15 @@ def _analyze_chunk(job) -> Tuple[int, TraceAnalysis, int, float]:
         # Chunk 0 starts from the trace head: seed the seam warm state
         # (later chunks inherit it through the scout's checkpoints).
         analyzer.seed_seam(config.seam_state)
-    analyzer.feed(entries)
+    analyzer.feed(_rows(_chunk_entries, start, end))
     if is_last:
         analyzer.finish(config.end_tick)
-    return index, analyzer.result, len(entries), time.perf_counter() - started
+    return index, analyzer.result, end - start, time.perf_counter() - started
+
+
+def _rows(columns: Tuple[array, ...], start: int, end: int) -> Iterable[tuple]:
+    """Rows ``start:end`` of a trace's columns, as analyzer input."""
+    return zip(*(column[start:end] for column in columns))
 
 
 # ----------------------------------------------------------------------
@@ -300,14 +310,20 @@ def sharded_analysis(
     wall-clock optimization, and daemonic workers fall back to it
     automatically since they cannot have children).
     """
-    from repro.analysis.report import CYCLES_PER_TICK
-
     wall_started = time.perf_counter()
     params = run.params
     segments = run.trace.segments
-    entries = [entry for segment in segments for entry in segment.entries]
-    end_tick = max((segment.end_cycles // 2 for segment in segments), default=0)
-    window_start = run.measure_from_cycles // CYCLES_PER_TICK
+    # The whole trace as one set of columns (chunks cut across segments).
+    entries = tuple(array(typecode) for _, typecode in TRACE_COLUMNS)
+    for segment in segments:
+        for whole, part in zip(entries, segment.columns()):
+            whole.extend(part)
+    num_entries = len(entries[0])
+    end_tick = max(
+        (params.cycles_to_ticks(segment.end_cycles) for segment in segments),
+        default=0,
+    )
+    window_start = params.cycles_to_ticks(run.measure_from_cycles)
     config = _ChunkConfig(
         workload=run.workload_name,
         num_cpus=params.num_cpus,
@@ -323,9 +339,9 @@ def sharded_analysis(
     )
 
     if boundaries is None:
-        cuts = plan_boundaries(len(entries), shards)
+        cuts = plan_boundaries(num_entries, shards)
     else:
-        cuts = [b for b in sorted(set(boundaries)) if 0 < b < len(entries)]
+        cuts = [b for b in sorted(set(boundaries)) if 0 < b < num_entries]
 
     # Scout pass: serial, state-only, checkpointing at each boundary.
     # The last chunk needs no checkpoint beyond the final cut, so the
@@ -346,12 +362,12 @@ def sharded_analysis(
     scout.seed_seam(config.seam_state)
     previous = 0
     for cut in cuts:
-        scout.feed(entries[previous:cut])
+        scout.feed(_rows(entries, previous, cut))
         states.append(scout.snapshot(cut))
         previous = cut
     scout_seconds = time.perf_counter() - scout_started
 
-    edges = [0] + list(cuts) + [len(entries)]
+    edges = [0] + list(cuts) + [num_entries]
     jobs = []
     for index in range(len(edges) - 1):
         state = states[index - 1] if index > 0 else None
@@ -441,21 +457,24 @@ class PackedStream:
         return len(self.pos)
 
 
-def pack_imiss_stream(stream: Sequence[StreamEntry]) -> PackedStream:
-    """Batch ``(cpu, block, is_os, in_window)`` tuples into arrays."""
-    table = np.asarray(stream, dtype=np.int64).reshape(-1, 4)
-    flush = table[:, 0] == FLUSH_CPU
+def pack_imiss_stream(stream: Iterable[StreamEntry]) -> PackedStream:
+    """The stream's columns as numpy arrays, flush markers split out."""
+    cpu, block, is_os, in_window = (
+        np.asarray(column, dtype=np.int64)
+        for column in as_imiss_stream(stream).columns()
+    )
+    flush = cpu == FLUSH_CPU
     epoch_all = np.cumsum(flush)
     access = ~flush
     return PackedStream(
         pos=np.flatnonzero(access),
-        cpu=table[access, 0],
-        block=table[access, 1],
+        cpu=cpu[access],
+        block=block[access],
         # At access rows flush==0, so the inclusive cumsum equals the
         # number of flushes strictly before the row.
         epoch=epoch_all[access],
-        is_os=table[access, 2].astype(bool),
-        in_window=table[access, 3].astype(bool),
+        is_os=is_os[access].astype(bool),
+        in_window=in_window[access].astype(bool),
         flush_pos=np.flatnonzero(flush),
     )
 
@@ -586,7 +605,7 @@ def vector_icache_config(
 # Sweep workers: one associative configuration per pool task, the
 # stream shipped once per worker through the initializer.
 # ----------------------------------------------------------------------
-_sweep_input: Optional[Tuple[Sequence[StreamEntry], int, int]] = None
+_sweep_input: Optional[Tuple[IMissStream, int, int]] = None
 
 
 def _init_sweep_worker(stream, num_cpus, block_bytes) -> None:
@@ -604,7 +623,7 @@ def _sweep_one_config(job) -> SweepPoint:
 
 
 def simulate_icache_sweep_sharded(
-    stream: Sequence[StreamEntry],
+    stream: Iterable[StreamEntry],
     num_cpus: int,
     sizes=(64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024),
     associativities=(1, 2),
@@ -619,6 +638,7 @@ def simulate_icache_sweep_sharded(
     grid) keep the exact scalar LRU replay, fanned out one
     configuration per pool worker.
     """
+    stream = as_imiss_stream(stream)
     configs = sweep_configs(sizes, associativities)
     scalar_configs = [(s, a) for s, a in configs if a not in (1, 2)]
     if use_pool is None:

@@ -68,6 +68,31 @@ class TestRecording:
         with pytest.raises(BufferOverflow):
             bus.transaction(2, 0, 32, BusOp.READ)
 
+    def test_records_are_typed_columns(self):
+        bus, monitor = make_monitor()
+        monitor.start(0)
+        bus.transaction(10, 3, 0x2000, BusOp.UNCACHED_READ)
+        segment = monitor.stop(20)
+        assert [c.typecode for c in segment.columns()] == ["q", "B", "I", "B"]
+        assert list(segment.entries) == [(5, 3, 0x2000, 2)]
+        assert len(segment.entries) == len(segment) == 1
+
+    def test_every_machine_preset_fits_the_columns(self):
+        from repro.machines import MACHINES
+
+        for preset in MACHINES.values():
+            params = preset.params
+            assert params.memory_bytes <= 2 ** 32, preset
+            assert params.num_cpus <= 127, preset  # I-miss stream cpu: 'b'
+
+    def test_coarser_tick_stamps_fewer_ticks(self):
+        bus = Bus()
+        monitor = HardwareMonitor(bus, cycles_per_tick=4.0)
+        monitor.start(0)
+        bus.transaction(61, 0, 0x10, BusOp.READ)
+        (tick, _, _, _), = monitor.stop(100).entries
+        assert tick == 15
+
     def test_forgiving_overflow_counts_drops(self):
         bus, monitor = make_monitor(capacity=2)
         monitor.start(0)

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.analysis.decode import TraceAnalysis
-from repro.analysis.report import AnalysisReport, CYCLES_PER_TICK
+from repro.analysis.report import AnalysisReport
+from repro.common.params import DEFAULT_PARAMS
 from repro.common.types import MissClass, RefDomain
+
+CYCLES_PER_TICK = DEFAULT_PARAMS.cycles_per_tick
 
 OS = RefDomain.OS
 APP = RefDomain.APP
@@ -79,6 +82,15 @@ class TestStalls:
             2 * AnalysisReport(synthetic()).total_stall_pct
         )
 
+    def test_coarser_monitor_tick_halves_stall_share(self):
+        """A tick twice as long covers twice the cycles per tick."""
+        report = AnalysisReport(
+            synthetic(), cycles_per_tick=2 * CYCLES_PER_TICK
+        )
+        assert report.total_stall_pct == pytest.approx(
+            AnalysisReport(synthetic()).total_stall_pct / 2
+        )
+
     def test_stall_for_component(self, report):
         assert report.stall_pct_for(0) == 0.0
         assert report.stall_pct_for(30) == report.os_stall_pct
@@ -98,3 +110,24 @@ class TestQueries:
 
     def test_non_idle_ticks(self, report):
         assert report.analysis.non_idle_ticks() == 800
+
+
+class TestMonitorTickRatio:
+    """Ticks convert to cycles at the machine's own monitor granularity."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_measured_ticks_cover_measured_cycles(self, shards):
+        from repro.analysis.report import analyze_trace
+        from repro.common.params import MachineParams
+        from repro.sim._session import Simulation
+
+        params = MachineParams(monitor_tick_ns=120.0)
+        assert params.cycles_per_tick == 4.0
+        run = Simulation("pmake", params=params, seed=3).run(2.0, warmup_ms=5.0)
+        report = analyze_trace(run, keep_imiss_stream=False, shards=shards)
+        end_cycles = max(s.end_cycles for s in run.trace.segments)
+        measured_cycles = end_cycles - run.measure_from_cycles
+        measured_ticks = report.analysis.measured_ticks
+        assert abs(measured_ticks * params.cycles_per_tick - measured_cycles) \
+            < params.cycles_per_tick
+        assert report.cycles_per_tick == params.cycles_per_tick

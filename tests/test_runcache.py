@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -63,6 +64,76 @@ class TestHitMiss:
         reference = list(run.trace.all_entries())
         assert list(cached.trace.all_entries()) == reference
         assert list(fresh.trace.all_entries()) == reference
+
+
+class TestColumnsRoundTrip:
+    def test_loaded_run_keeps_column_typecodes_and_rows(self, cache):
+        run, report = _get(cache, analyze=True)
+        fresh = RunCache(cache_dir=cache.cache_dir)
+        run2, report2 = _get(fresh, analyze=True)
+        assert (fresh.hits, fresh.misses) == (1, 0)
+
+        def typecodes(columns):
+            return [column.typecode for column in columns]
+
+        for before, after in zip(run.trace.segments, run2.trace.segments):
+            assert typecodes(after.columns()) == typecodes(before.columns()) \
+                == ["q", "B", "I", "B"]
+        assert list(run2.trace.all_entries()) == list(run.trace.all_entries())
+        stream, stream2 = report.analysis.imiss_stream, report2.analysis.imiss_stream
+        assert typecodes(stream2.columns()) == typecodes(stream.columns()) \
+            == ["b", "I", "B", "B"]
+        assert len(stream2) > 0
+        assert stream2 == stream
+        assert list(stream2) == list(stream)
+
+
+class _GcProbe:
+    """Records whether the cyclic GC was enabled when it was unpickled."""
+
+    seen = []
+
+    def __init__(self):
+        self.state = "pickled"  # an empty __dict__ would skip __setstate__
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _GcProbe.seen.append(gc.isenabled())
+
+
+class TestGcPause:
+    """``_read`` unpickles with the GC paused and restores the caller's
+    GC state on every exit path."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("entry", ["hit", "corrupt", "absent"])
+    def test_gc_state_restored(self, cache, enabled, entry):
+        key = "run-" + "1" * 40
+        if entry == "hit":
+            assert cache.store(key, {"probe": _GcProbe()})
+        elif entry == "corrupt":
+            cache.cache_dir.mkdir(parents=True, exist_ok=True)
+            cache._path(key).write_bytes(b"\x80\x05 truncated garbage")
+        was_enabled = gc.isenabled()
+        _GcProbe.seen.clear()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            payload = cache._read(key)
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+        if entry == "hit":
+            assert isinstance(payload["probe"], _GcProbe)
+            assert _GcProbe.seen == [False]
+        else:
+            assert payload is None
+            assert not cache._path(key).exists()
 
 
 class TestInvalidation:

@@ -158,7 +158,7 @@ class TestShardedIdentity:
             pmake_run, 3, keep_imiss_stream=False, use_pool=False
         )
         _assert_identical(merged, serial)
-        assert merged.imiss_stream == []
+        assert len(merged.imiss_stream) == 0
 
 
 # ----------------------------------------------------------------------

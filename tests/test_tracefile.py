@@ -1,16 +1,25 @@
 """Trace persistence round-trips."""
 
+import numpy as np
 import pytest
 
 from repro.monitor.hwmonitor import Trace, TraceSegment
 from repro.monitor.tracefile import load_trace, save_trace
 
+ROWS = [(0, 0, 0x1000, 0), (5, 1, 0x2000, 1), (9, 2, 0xF0001, 2)]
+
+
+def make_segment(start, end, rows) -> TraceSegment:
+    segment = TraceSegment(start_cycles=start, end_cycles=end)
+    for column, values in zip(segment.columns(), zip(*rows)):
+        column.extend(values)
+    return segment
+
 
 def make_trace() -> Trace:
     trace = Trace()
-    seg1 = TraceSegment(start_cycles=0, end_cycles=1000)
-    seg1.entries = [(0, 0, 0x1000, 0), (5, 1, 0x2000, 1), (9, 2, 0xF0001, 2)]
-    seg2 = TraceSegment(start_cycles=2000, end_cycles=2000)  # empty
+    seg1 = make_segment(0, 1000, ROWS)
+    seg2 = make_segment(2000, 2000, [])  # empty
     trace.segments = [seg1, seg2]
     return trace
 
@@ -30,7 +39,51 @@ class TestRoundTrip:
         assert len(loaded.segments) == 2
         assert loaded.segments[0].start_cycles == 0
         assert loaded.segments[0].end_cycles == 1000
-        assert loaded.segments[1].entries == []
+        assert len(loaded.segments[1].entries) == 0
+
+    def test_columns_keep_their_typecodes(self, tmp_path):
+        path = tmp_path / "trace.npz"
+        save_trace(make_trace(), path)
+        for segment in load_trace(path).segments:
+            assert [c.typecode for c in segment.columns()] == \
+                ["q", "B", "I", "B"]
+
+    def test_plain_numpy_file_loads_entry_for_entry(self, tmp_path):
+        """Version 1 as any numpy writer produces it: an N×4 int64
+        array per segment plus its cycle span."""
+        path = tmp_path / "plain.npz"
+        np.savez(
+            str(path),
+            version=np.array([1], dtype=np.int64),
+            num_segments=np.array([1], dtype=np.int64),
+            segment_0_entries=np.array(ROWS, dtype=np.int64),
+            segment_0_span=np.array([10, 900], dtype=np.int64),
+        )
+        loaded = load_trace(path)
+        assert list(loaded.all_entries()) == ROWS
+        assert all(
+            type(value) is int
+            for entry in loaded.all_entries() for value in entry
+        )
+        segment, = loaded.segments
+        assert (segment.start_cycles, segment.end_cycles) == (10, 900)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([(0, 256, 0x1000, 0)], dtype=np.int64),   # cpu > 255
+        np.array([(0, 0, -16, 0)], dtype=np.int64),        # negative addr
+        np.zeros((2, 3), dtype=np.int64),                  # not N×4
+    ])
+    def test_entries_outside_the_layout_are_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.npz"
+        np.savez(
+            str(path),
+            version=np.array([1], dtype=np.int64),
+            num_segments=np.array([1], dtype=np.int64),
+            segment_0_entries=bad,
+            segment_0_span=np.array([0, 10], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="segment 0"):
+            load_trace(path)
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.npz"
